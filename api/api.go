@@ -199,7 +199,8 @@ type JobResult struct {
 	// (the compute call) and "merge" (result assembly + mitigation),
 	// plus the engine's own phases prefixed "engine_" ("engine_grow",
 	// "engine_score", "engine_recombine", "engine_prune", and the
-	// multilevel/incremental extras — see tanglefind.Result.Stages).
+	// multilevel/incremental extras such as "engine_coarsen", the wait
+	// for the coarsening hierarchy — see tanglefind.Result.Stages).
 	// Non-empty on every job that reached a terminal state by running;
 	// cached results carry the breakdown of the run that populated the
 	// cache.

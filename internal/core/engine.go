@@ -380,24 +380,29 @@ func (f *Finder) FindShard(ctx context.Context, opt Options, lo, hi int) (*Shard
 		ctx = context.Background()
 	}
 	if opt.Levels > 1 {
-		ms, err := f.multilevelState(&opt)
+		ms, wait, err := f.multilevelState(&opt)
 		if err != nil {
 			return nil, err
 		}
+		var sr *ShardResult
 		if L := ms.hier.NumLevels(); L > 1 {
 			// Shard the coarsest level's deterministic schedule; the
 			// seed count is unchanged (coarseOptions rescales only the
 			// size-dependent knobs), so [lo,hi) bounds carry over.
 			top := ms.finders[L-1]
 			copt := coarseOptions(&opt, f.nl.NumCells(), top.nl.NumCells(), L-1)
-			sr, err := top.findShard(ctx, &copt, top.plan(&copt), lo, hi, false)
-			if sr != nil {
+			if sr, err = top.findShard(ctx, &copt, top.plan(&copt), lo, hi, false); sr != nil {
 				sr.levels = opt.Levels
 			}
-			return sr, err
+		} else {
+			// Degenerate hierarchy (netlist at or below the coarsening
+			// floor): the flat schedule is the multilevel schedule.
+			sr, err = f.findShard(ctx, &opt, f.plan(&opt), lo, hi, false)
 		}
-		// Degenerate hierarchy (netlist at or below the coarsening
-		// floor): the flat schedule is the multilevel schedule.
+		if sr != nil && wait > 0 {
+			sr.stages.Add(StageCoarsen, wait)
+		}
+		return sr, err
 	}
 	return f.findShard(ctx, &opt, f.plan(&opt), lo, hi, false)
 }
@@ -566,7 +571,7 @@ func (f *Finder) Merge(opt Options, shards ...*ShardResult) (*Result, error) {
 		return nil, err
 	}
 	if opt.Levels > 1 {
-		ms, err := f.multilevelState(&opt)
+		ms, wait, err := f.multilevelState(&opt)
 		if err != nil {
 			return nil, err
 		}
@@ -584,10 +589,14 @@ func (f *Finder) Merge(opt Options, shards ...*ShardResult) (*Result, error) {
 			res, err := f.projectDown(context.Background(), &opt, ms, cres,
 				float64(cres.Elapsed)/float64(time.Millisecond), nil)
 			if res != nil {
+				addCoarsen(res, wait)
 				res.Elapsed = cres.Elapsed + time.Since(start)
 			}
 			return res, err
 		}
+		res, err := f.mergeShards(&opt, 0, shards)
+		addCoarsen(res, wait)
+		return res, err
 	}
 	return f.mergeShards(&opt, 0, shards)
 }

@@ -67,10 +67,12 @@ type Result struct {
 	// so they can exceed Elapsed when Workers > 1; "prune" is the
 	// global pruning pass, and multilevel runs add "coarse_detect"
 	// (the coarse detection's wall time, which overlaps its own
-	// per-seed phases) and "project" (the projection/refinement
-	// descent). Always non-nil on a completed run; per-seed entries
-	// disappear under SetStageTiming(false). Purely diagnostic —
-	// timing never affects detection results.
+	// per-seed phases), "project" (the projection/refinement descent)
+	// and "coarsen" (the time the run waited for its hierarchy, built
+	// by itself or by a concurrent run; absent when the hierarchy was
+	// already cached). Always non-nil on a completed run; per-seed
+	// entries disappear under SetStageTiming(false). Purely
+	// diagnostic — timing never affects detection results.
 	Stages telemetry.StageTimings
 }
 

@@ -385,7 +385,7 @@ func (f *Finder) FindIncremental(ctx context.Context, opt Options, prev *Result,
 // result down as any multilevel run would.
 func (f *Finder) findIncrementalMultilevel(ctx context.Context, opt *Options, prev *Result, dirty []netlist.CellID) (*Result, error) {
 	start := time.Now()
-	ms, err := f.multilevelState(opt)
+	ms, wait, err := f.multilevelState(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -394,11 +394,16 @@ func (f *Finder) findIncrementalMultilevel(ctx context.Context, opt *Options, pr
 		// Degenerate hierarchy (netlist at or below the coarsening
 		// floor): a recorded run under these options degenerated the
 		// same way, so flat incremental is multilevel incremental.
-		return f.findIncrementalFlat(ctx, opt, prev, dirty)
+		res, err := f.findIncrementalFlat(ctx, opt, prev, dirty)
+		addCoarsen(res, wait)
+		return res, err
 	}
 
 	fallback := func(reason string) (*Result, error) {
+		// findMultilevel finds the hierarchy cached; the wait for it
+		// was this run's.
 		res, err := f.findMultilevel(ctx, opt)
+		addCoarsen(res, wait)
 		if res != nil {
 			res.Incremental = &IncrStats{
 				DirtyCells:     len(dirty),
@@ -437,6 +442,7 @@ func (f *Finder) findIncrementalMultilevel(ctx context.Context, opt *Options, pr
 	}
 	res, runErr := f.projectDown(ctx, opt, ms, cres,
 		float64(time.Since(detectStart))/float64(time.Millisecond), runErr)
+	addCoarsen(res, wait)
 	if cres.Incremental != nil {
 		// Surface the coarse reuse breakdown, but report the dirty set
 		// the caller actually handed in (ReseededCells stays coarse —

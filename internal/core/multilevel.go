@@ -72,8 +72,11 @@ type LevelStats struct {
 }
 
 // multilevelState returns (building and caching on first use) the
-// hierarchy and sub-engines for the run's coarsening configuration.
-func (f *Finder) multilevelState(opt *Options) (*mlState, error) {
+// hierarchy and sub-engines for the run's coarsening configuration,
+// with how long the caller waited for them: the build, or another
+// run's in-flight build of the same configuration. A cached
+// hierarchy reports no wait.
+func (f *Finder) multilevelState(opt *Options) (*mlState, time.Duration, error) {
 	minCoarse := opt.MinCoarseCells
 	if minCoarse == 0 {
 		// BuildHierarchy treats 0 as the default floor; normalize the
@@ -96,7 +99,14 @@ func (f *Finder) multilevelState(opt *Options) (*mlState, error) {
 			f.mlOrder = f.mlOrder[1:]
 		}
 	}
+	// The build publishes under the cache mutex, so a set field here
+	// means the Once has already run.
+	s, err := e.s, e.err
 	f.mlMu.Unlock()
+	if s != nil || err != nil {
+		return s, 0, err
+	}
+	start := time.Now()
 	e.once.Do(func() {
 		s, err := f.buildMLState(opt)
 		// Publish under the cache mutex so concurrent snapshot readers
@@ -106,7 +116,7 @@ func (f *Finder) multilevelState(opt *Options) (*mlState, error) {
 		e.s, e.err = s, err
 		f.mlMu.Unlock()
 	})
-	return e.s, e.err
+	return e.s, time.Since(start), e.err
 }
 
 // buildMLState coarsens the netlist and constructs the per-level
@@ -199,7 +209,7 @@ type mlCand struct {
 // from whatever completed, mirroring findFlat's contract.
 func (f *Finder) findMultilevel(ctx context.Context, opt *Options) (*Result, error) {
 	start := time.Now()
-	ms, err := f.multilevelState(opt)
+	ms, wait, err := f.multilevelState(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +217,9 @@ func (f *Finder) findMultilevel(ctx context.Context, opt *Options) (*Result, err
 	if L == 1 {
 		// Coarsening had nothing to do (netlist already at or below the
 		// floor): the flat pipeline is the multilevel pipeline.
-		return f.findFlat(ctx, opt)
+		res, err := f.findFlat(ctx, opt)
+		addCoarsen(res, wait)
+		return res, err
 	}
 
 	// Detect on the coarsest level with the full three-phase pipeline,
@@ -226,6 +238,7 @@ func (f *Finder) findMultilevel(ctx context.Context, opt *Options) (*Result, err
 
 	res, runErr := f.projectDown(ctx, opt, ms, cres,
 		float64(time.Since(detectStart))/float64(time.Millisecond), runErr)
+	addCoarsen(res, wait)
 	res.Elapsed = time.Since(start)
 	if runErr == nil && opt.RecordIncremental && cres.IncrState != nil {
 		res.IncrState = wrapMLIncrState(opt, f.nl.NumCells(), top.nl, cres.IncrState)

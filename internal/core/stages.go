@@ -8,13 +8,15 @@ import (
 )
 
 // Stage names used in Result.Stages. Flat runs report the first four;
-// multilevel runs add StageCoarseDetect/StageProject and incremental
-// runs add StageReplay/StageReseed.
+// multilevel runs add StageCoarseDetect/StageProject, plus StageCoarsen
+// when the run waited for its hierarchy (absent when it was cached),
+// and incremental runs add StageReplay/StageReseed.
 const (
 	StageGrow         = "grow"
 	StageScore        = "score"
 	StageRecombine    = "recombine"
 	StagePrune        = "prune"
+	StageCoarsen      = "coarsen"
 	StageCoarseDetect = "coarse_detect"
 	StageProject      = "project"
 	StageReplay       = "replay"
@@ -59,15 +61,24 @@ var stageTimingOff atomic.Bool
 // SetStageTiming switches the engine's per-seed stage accounting
 // (Result.Stages phase entries, SchedStats worker busy/steal clocks)
 // on or off, returning the previous setting. Per-run stamps (prune,
-// coarse_detect, project) are always recorded — they cost a handful
-// of clock reads per run. The toggle exists for overhead measurement
-// (BenchmarkFind_Instrumented); it never affects detection results.
+// coarsen, coarse_detect, project) are always recorded — they cost a
+// handful of clock reads per run. The toggle exists for overhead
+// measurement (BenchmarkFind_Instrumented); it never affects detection
+// results.
 func SetStageTiming(enabled bool) (prev bool) {
 	return !stageTimingOff.Swap(!enabled)
 }
 
 // StageTimingEnabled reports whether per-seed stage accounting is on.
 func StageTimingEnabled() bool { return !stageTimingOff.Load() }
+
+// addCoarsen records on res the time its run waited for the
+// hierarchy; a cached hierarchy (no wait) leaves the stage absent.
+func addCoarsen(res *Result, wait time.Duration) {
+	if res != nil && wait > 0 {
+		res.Stages.Add(StageCoarsen, wait)
+	}
+}
 
 // stamp folds the time elapsed since `from` into phase p and returns
 // the new timestamp, chaining consecutive phase boundaries through

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"tanglefind/internal/generate"
@@ -46,7 +47,7 @@ func TestFlatRunStages(t *testing.T) {
 			t.Errorf("stage %q missing or non-positive: %v", stage, res.Stages)
 		}
 	}
-	for _, stage := range []string{StageCoarseDetect, StageProject, StageReplay, StageReseed} {
+	for _, stage := range []string{StageCoarsen, StageCoarseDetect, StageProject, StageReplay, StageReseed} {
 		if _, ok := res.Stages[stage]; ok {
 			t.Errorf("flat run reports multilevel/incremental stage %q: %v", stage, res.Stages)
 		}
@@ -75,7 +76,8 @@ func TestFlatRunStages(t *testing.T) {
 }
 
 // TestMultilevelRunStages: the descent adds coarse_detect and project
-// on top of the coarse run's per-seed phases.
+// on top of the coarse run's per-seed phases, and the run that built
+// the hierarchy adds coarsen; a run that finds it cached does not.
 func TestMultilevelRunStages(t *testing.T) {
 	rg, opt := stagesWorkload(t)
 	opt.Levels = 2
@@ -88,10 +90,100 @@ func TestMultilevelRunStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, stage := range []string{StageGrow, StagePrune, StageCoarseDetect, StageProject} {
+	for _, stage := range []string{StageGrow, StagePrune, StageCoarsen, StageCoarseDetect, StageProject} {
 		if res.Stages[stage] <= 0 {
 			t.Errorf("stage %q missing: %v", stage, res.Stages)
 		}
+	}
+	again, err := f.Find(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := again.Stages[StageCoarsen]; ok {
+		t.Errorf("run on a cached hierarchy reports coarsen: %v", again.Stages)
+	}
+	if again.Stages[StageProject] <= 0 {
+		t.Errorf("cached-hierarchy run missing project: %v", again.Stages)
+	}
+}
+
+// TestMultilevelShardStages: the shard that built the hierarchy
+// carries coarsen, and Merge folds it into the merged result.
+func TestMultilevelShardStages(t *testing.T) {
+	rg, opt := stagesWorkload(t)
+	opt.Levels = 2
+	opt.MinCoarseCells = 1024
+	f, err := NewFinder(rg.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	mid := opt.Seeds / 2
+	s1, err := f.FindShard(ctx, opt, 0, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := f.FindShard(ctx, opt, mid, opt.Seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1.Stages()[StageCoarsen] <= 0 {
+		t.Errorf("first shard missing coarsen: %v", s1.Stages())
+	}
+	if _, ok := s2.Stages()[StageCoarsen]; ok {
+		t.Errorf("second shard reports coarsen on a cached hierarchy: %v", s2.Stages())
+	}
+	res, err := f.Merge(opt, s1, s2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Stages[StageCoarsen], s1.Stages()[StageCoarsen]; got != want {
+		t.Errorf("merged coarsen = %v, want the first shard's %v", got, want)
+	}
+}
+
+// TestConcurrentMultilevelCoarsenStage: runs racing on a fresh engine
+// share one hierarchy build; each run that waited for it reports
+// coarsen, the build's own run among them, and results are unaffected.
+func TestConcurrentMultilevelCoarsenStage(t *testing.T) {
+	rg, opt := stagesWorkload(t)
+	opt.Levels = 2
+	opt.MinCoarseCells = 1024
+	f, err := NewFinder(rg.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 4
+	results := make([]*Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = f.Find(context.Background(), opt)
+		}()
+	}
+	wg.Wait()
+	waited := 0
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if res.Stages[StageCoarsen] > 0 {
+			waited++
+		}
+		if len(res.GTLs) != len(results[0].GTLs) {
+			t.Fatalf("run %d: %d GTLs, run 0 found %d", i, len(res.GTLs), len(results[0].GTLs))
+		}
+		for k := range res.GTLs {
+			if res.GTLs[k].Score != results[0].GTLs[k].Score || res.GTLs[k].Size() != results[0].GTLs[k].Size() {
+				t.Fatalf("run %d: GTL %d differs from run 0", i, k)
+			}
+		}
+	}
+	if waited == 0 {
+		t.Errorf("no concurrent run reports coarsen; the building run must")
 	}
 }
 

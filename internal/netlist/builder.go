@@ -3,7 +3,7 @@ package netlist
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Builder incrementally assembles a Netlist. It dedupes repeated
@@ -242,7 +242,7 @@ func dedupe(cells []CellID) []CellID {
 	if len(cells) <= 1 {
 		return cells
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
+	slices.Sort(cells)
 	out := cells[:1]
 	for _, c := range cells[1:] {
 		if c != out[len(out)-1] {

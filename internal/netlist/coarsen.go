@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements multilevel coarsening of the hypergraph: the
 // substrate of the coarsen → detect → project + refine detection
@@ -14,14 +17,15 @@ import "fmt"
 // flat run, plus the projection maps needed to carry detected groups
 // back down to the original cells.
 //
-// Every coarse netlist is produced by the ordinary two-pass Builder,
-// so the CSR invariants (Validate) and the .tfnet/.tfb round-trips
-// hold at every level. Nets whose pins collapse into a single coarse
-// cell become self-loops and are elided (Builder.DropDegenerateNets);
-// cell areas aggregate by summation so TotalArea is conserved level to
-// level. Coarsening is fully deterministic: matching visits cells in
-// ascending id order and breaks weight ties toward the smallest
-// neighbor id.
+// Every coarse netlist is contracted straight into its net-side CSR
+// and handed to fromNetCSR, the constructor the .tfb reader uses, so
+// the CSR invariants (Validate) and the .tfnet/.tfb round-trips hold
+// at every level. Nets whose pins collapse into a single coarse cell
+// become self-loops and are elided; cell areas aggregate by summation
+// so TotalArea is conserved level to level. Coarse levels carry no
+// names (CellName/NetName synthesize them). Coarsening is fully
+// deterministic: matching visits cells in ascending id order and
+// breaks weight ties toward the smallest neighbor id.
 
 // CoarsenOptions configures BuildHierarchy. The zero value of every
 // field selects a documented default.
@@ -80,23 +84,14 @@ func BuildHierarchy(nl *Netlist, o CoarsenOptions) (*Hierarchy, error) {
 	if o.MinCells == 0 {
 		o.MinCells = DefaultMinCoarseCells
 	}
-	maxNet := o.MaxNetSize
-	switch {
-	case maxNet == 0:
-		maxNet = DefaultCoarsenMaxNet
-	case maxNet < 0:
-		maxNet = 0 // CliqueExpand's "no limit"
-	}
+	maxNet := o.matchNetLimit()
 	h := &Hierarchy{levels: []*Netlist{nl}}
 	for len(h.levels) < o.Levels {
 		fine := h.levels[len(h.levels)-1]
 		if fine.NumCells() <= o.MinCells {
 			break
 		}
-		coarse, m, err := coarsenStep(fine, maxNet)
-		if err != nil {
-			return nil, err
-		}
+		coarse, m := coarsenStep(fine, maxNet)
 		// A step that barely contracts (pathologically sparse or
 		// disconnected graphs) would stack near-identical levels; stop.
 		if coarse.NumCells() > fine.NumCells()*19/20 {
@@ -106,6 +101,18 @@ func BuildHierarchy(nl *Netlist, o CoarsenOptions) (*Hierarchy, error) {
 		h.maps = append(h.maps, m)
 	}
 	return h, nil
+}
+
+// matchNetLimit resolves MaxNetSize to coarsenStep's net-size cutoff,
+// where 0 means no limit.
+func (o CoarsenOptions) matchNetLimit() int {
+	switch {
+	case o.MaxNetSize == 0:
+		return DefaultCoarsenMaxNet
+	case o.MaxNetSize < 0:
+		return 0
+	}
+	return o.MaxNetSize
 }
 
 // NumLevels returns the number of levels, the original included.
@@ -182,7 +189,7 @@ func (h *Hierarchy) RepresentativeAtFinest(l int, c CellID) CellID {
 // millions of expanded edges (the CliqueExpand path) would be pure
 // overhead; the direct walk is O(Σ_c Σ_{e∋c} |e|) with two O(cells)
 // scratch arrays.
-func coarsenStep(nl *Netlist, maxNetSize int) (*Netlist, levelMap, error) {
+func coarsenStep(nl *Netlist, maxNetSize int) (*Netlist, levelMap) {
 	n := nl.NumCells()
 
 	// Heavy-edge matching: visit cells in ascending id order; each
@@ -259,33 +266,55 @@ func coarsenStep(nl *Netlist, maxNetSize int) (*Netlist, levelMap, error) {
 		cursor[cc]++
 	}
 
-	// Build the coarse netlist with the ordinary two-pass Builder:
-	// areas aggregate by summation, every fine net maps through the
-	// matching (Builder dedupes pins that collapse onto one coarse
-	// cell), and nets left with a single distinct coarse pin are
-	// self-loops that DropDegenerateNets elides.
-	var b Builder
-	b.DropDegenerateNets = true
-	b.AddCells(numCoarse)
-	for cc := 0; cc < numCoarse; cc++ {
-		area := 0.0
-		for _, f := range m.members[m.memOff[cc]:m.memOff[cc+1]] {
-			area += nl.CellArea(f)
-		}
-		b.SetCellArea(CellID(cc), area)
-	}
-	mapped := make([]CellID, 0, 64)
+	// Contract straight into the coarse net-side CSR: map each fine
+	// net's pins through the matching, keep the first pin on every
+	// coarse cell (a per-cell stamp of the net being mapped), sort the
+	// run and drop it when fewer than two distinct coarse cells remain
+	// (a self-loop). fromNetCSR derives the cell side.
+	netPinOff := make([]int32, 1, nl.NumNets()+1)
+	netPinCell := make([]CellID, 0, nl.NumPins())
+	stamp := make([]uint32, numCoarse) // net id + 1 that last pinned the coarse cell
 	for e := 0; e < nl.NumNets(); e++ {
-		pins := nl.NetPins(NetID(e))
-		mapped = mapped[:0]
-		for _, c := range pins {
-			mapped = append(mapped, m.fineToCoarse[c])
+		start := len(netPinCell)
+		for _, c := range nl.NetPins(NetID(e)) {
+			cc := m.fineToCoarse[c]
+			if stamp[cc] != uint32(e)+1 {
+				stamp[cc] = uint32(e) + 1
+				netPinCell = append(netPinCell, cc)
+			}
 		}
-		b.AddNet("", mapped...)
+		if len(netPinCell)-start < 2 {
+			netPinCell = netPinCell[:start]
+			continue
+		}
+		sortCoarseRun(netPinCell[start:])
+		netPinOff = append(netPinOff, int32(len(netPinCell)))
 	}
-	coarse, err := b.Build()
-	if err != nil {
-		return nil, levelMap{}, fmt.Errorf("netlist: coarsen: %w", err)
+	// Areas aggregate by summation, each pair in ascending fine id order.
+	area := make([]float64, numCoarse)
+	for c := 0; c < n; c++ {
+		area[m.fineToCoarse[c]] += nl.CellArea(CellID(c))
 	}
-	return coarse, m, nil
+	coarse := fromNetCSR(numCoarse, slices.Clone(netPinOff), slices.Clone(netPinCell), nil, nil, area)
+	return coarse, m
+}
+
+// sortCoarseRun sorts one mapped net's coarse pins in place. Fine pins
+// are ascending and coarse ids follow each pair's smaller fine id, so
+// the run is already ascending except where a pair's second member
+// maps back to an earlier coarse cell: insertion sort is linear on
+// such runs, and long ones fall back to slices.Sort.
+func sortCoarseRun(run []CellID) {
+	if len(run) > 32 {
+		slices.Sort(run)
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		v := run[i]
+		j := i
+		for ; j > 0 && run[j-1] > v; j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = v
+	}
 }

@@ -12,6 +12,13 @@ import (
 // self-loop elision.
 func randomTestNetlist(t testing.TB, cells, nets int, seed int64) *Netlist {
 	t.Helper()
+	return wideTailNetlist(t, cells, nets, 0, seed)
+}
+
+// wideTailNetlist is randomTestNetlist plus a tail of wide nets of
+// 16–48 pins, the fanout shape that dominates coarsening's pin walk.
+func wideTailNetlist(t testing.TB, cells, nets, wide int, seed int64) *Netlist {
+	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	var b Builder
 	b.DropDegenerateNets = true
@@ -34,6 +41,13 @@ func randomTestNetlist(t testing.TB, cells, nets int, seed int64) *Netlist {
 		pins := make([]CellID, k)
 		for i := range pins {
 			pins[i] = CellID(r.Intn(blk))
+		}
+		b.AddNet("", pins...)
+	}
+	for e := 0; e < wide; e++ {
+		pins := make([]CellID, 16+r.Intn(33))
+		for i := range pins {
+			pins[i] = CellID(r.Intn(cells))
 		}
 		b.AddNet("", pins...)
 	}
@@ -274,7 +288,8 @@ func TestBuildHierarchyStops(t *testing.T) {
 }
 
 // TestCoarsenDeterminism: identical inputs must produce identical
-// hierarchies (the engine's reproducibility depends on it).
+// hierarchies, maps and full CSR alike (the engine's reproducibility
+// depends on it).
 func TestCoarsenDeterminism(t *testing.T) {
 	nl := randomTestNetlist(t, 2500, 5000, 13)
 	h1, err := BuildHierarchy(nl, CoarsenOptions{Levels: 3, MinCells: 50})
@@ -289,10 +304,55 @@ func TestCoarsenDeterminism(t *testing.T) {
 		t.Fatalf("level counts differ: %d vs %d", h1.NumLevels(), h2.NumLevels())
 	}
 	for l := 0; l+1 < h1.NumLevels(); l++ {
-		for c := 0; c < h1.Level(l).NumCells(); c++ {
-			if h1.CoarseCell(l, CellID(c)) != h2.CoarseCell(l, CellID(c)) {
-				t.Fatalf("level %d: cell %d maps differently across runs", l, c)
+		if err := sameLevelMap(h1.maps[l], h2.maps[l]); err != nil {
+			t.Fatalf("level %d: maps differ across runs: %v", l, err)
+		}
+		if err := sameCSR(h1.Level(l+1), h2.Level(l+1)); err != nil {
+			t.Fatalf("level %d: coarse netlists differ across runs: %v", l+1, err)
+		}
+	}
+}
+
+// BenchmarkBuildHierarchy coarsens a 100K-cell netlist with a wide-net
+// tail to three levels, reporting allocations next to the time.
+func BenchmarkBuildHierarchy(b *testing.B) {
+	nl := wideTailNetlist(b, 100_000, 150_000, 500, 5)
+	o := CoarsenOptions{Levels: 3}
+	b.ReportAllocs()
+	for b.Loop() {
+		h, err := BuildHierarchy(nl, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if h.NumLevels() != 3 {
+			b.Fatalf("%d levels, want 3", h.NumLevels())
+		}
+	}
+}
+
+// TestBuildHierarchyAllocs is a clock-free work guard: one coarsening
+// step allocates a small fixed number of arrays, however many nets the
+// netlist has. Going back to per-net allocation fails it on any
+// machine.
+func TestBuildHierarchyAllocs(t *testing.T) {
+	const maxAllocsPerStep = 40
+	for _, nets := range []int{2_000, 16_000} {
+		nl := wideTailNetlist(t, 4000, nets, nets/100, 3)
+		o := CoarsenOptions{Levels: 3, MinCells: 100}
+		var h *Hierarchy
+		allocs := testing.AllocsPerRun(5, func() {
+			var err error
+			if h, err = BuildHierarchy(nl, o); err != nil {
+				t.Fatal(err)
 			}
+		})
+		steps := h.NumLevels() - 1
+		if steps != 2 {
+			t.Fatalf("%d nets: %d coarsening steps, want 2", nets, steps)
+		}
+		t.Logf("%d nets: %.0f allocations for %d steps", nets, allocs, steps)
+		if allocs > float64(steps*maxAllocsPerStep) {
+			t.Errorf("%d nets: %.0f allocations for %d steps, want at most %d per step", nets, allocs, steps, maxAllocsPerStep)
 		}
 	}
 }

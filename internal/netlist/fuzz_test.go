@@ -224,9 +224,10 @@ func FuzzDeltaApply(f *testing.F) {
 // a valid netlist comes out, coarsens it and checks every hierarchy
 // invariant: BuildHierarchy must never panic, every coarse level must
 // pass Validate, the projection maps must partition the fine cells and
-// conserve area, and coarse nets must be exactly the image of the fine
-// nets. Runs the seed corpus under plain `go test`; explore with `go
-// test -fuzz=FuzzCoarsen`.
+// conserve area, coarse nets must be exactly the image of the fine
+// nets, and every step must equal the Builder-based reference step
+// array for array. Runs the seed corpus under plain `go test`; explore
+// with `go test -fuzz=FuzzCoarsen`.
 func FuzzCoarsen(f *testing.F) {
 	f.Add(binarySeed(f), 3, 8)
 	f.Add([]byte{}, 2, 0)
@@ -250,7 +251,8 @@ func FuzzCoarsen(f *testing.F) {
 		if minCells < 1 {
 			minCells = 1
 		}
-		h, err := BuildHierarchy(nl, CoarsenOptions{Levels: levels, MinCells: minCells})
+		o := CoarsenOptions{Levels: levels, MinCells: minCells}
+		h, err := BuildHierarchy(nl, o)
 		if err != nil {
 			if nl.NumCells() > 0 {
 				t.Fatalf("coarsen failed on a valid %d-cell netlist: %v", nl.NumCells(), err)
@@ -258,5 +260,6 @@ func FuzzCoarsen(f *testing.F) {
 			return
 		}
 		checkHierarchyInvariants(t, h)
+		checkMatchesReference(t, h, o)
 	})
 }

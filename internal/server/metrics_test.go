@@ -509,3 +509,45 @@ func assertBreakdown(t *testing.T, where string, stages tanglefind.StageTimings)
 		t.Errorf("%s: engine stage not positive: %v", where, stages)
 	}
 }
+
+// TestMultilevelJobCoarsenStage: the job that waited for the
+// hierarchy reports engine_coarsen in its stages and in the stage
+// histogram; a later multilevel job on the same engine finds the
+// hierarchy cached and reports none.
+func TestMultilevelJobCoarsenStage(t *testing.T) {
+	c, _ := newTestServer(t)
+	ctx := context.Background()
+	info, err := c.UploadNetlist(ctx, tfbPayload(t, 6000, 500, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seeds int) api.JobStatus {
+		t.Helper()
+		st, err := c.Submit(ctx, api.JobRequest{Kind: api.KindFind, Digest: info.Digest,
+			Options: options(t, map[string]any{"seeds": seeds, "max_order_len": 400, "levels": 2, "min_coarse_cells": 1024})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.Wait(ctx, st.ID, 0); err != nil || st.State != api.StateDone || st.Result == nil {
+			t.Fatalf("wait: %+v, %v", st, err)
+		}
+		return st
+	}
+	if first := run(8); first.Result.Stages["engine_coarsen"] <= 0 {
+		t.Errorf("first multilevel job missing engine_coarsen: %v", first.Result.Stages)
+	}
+	if second := run(9); second.Result.Stages["engine_coarsen"] != 0 {
+		t.Errorf("job on a cached hierarchy reports engine_coarsen: %v", second.Result.Stages)
+	}
+	text, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams := parsePromText(t, text)
+	if got := famValue(fams, "gtl_job_stage_seconds_count", map[string]string{"kind": "find", "stage": "engine_coarsen"}); got != 1 {
+		t.Errorf("gtl_job_stage_seconds_count{kind=find,stage=engine_coarsen} = %v, want 1", got)
+	}
+	if got := famValue(fams, "gtl_job_stage_seconds_count", map[string]string{"kind": "find", "stage": "engine_project"}); got != 2 {
+		t.Errorf("gtl_job_stage_seconds_count{kind=find,stage=engine_project} = %v, want 2", got)
+	}
+}
